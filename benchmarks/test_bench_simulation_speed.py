@@ -146,10 +146,9 @@ def test_batched_pipeline_throughput(benchmark):
     assert all(eye.n_crossings > 20 for eye in eyes)
 
 
-def _backend_pipeline():
-    """The 64-channel 10 Gbps batched pipeline closure (PRBS through
-    accumulator); run it under a backend scope to measure that
-    backend."""
+def _kernel_pipeline():
+    """The 64-channel 10 Gbps batched pipeline closure, PRBS through
+    the eye accumulator."""
     from repro.channel.crosstalk import CrosstalkMatrix
     from repro.eye.accumulator import EyeAccumulator
     from repro.eye.diagram import EyeDiagram as Eye
@@ -177,63 +176,52 @@ def _backend_pipeline():
 
 
 def test_batched_pipeline_fused_throughput(benchmark):
-    """The batched pipeline under the ``fused`` array-ops backend.
+    """The batched pipeline on the batched kernels.
 
     Same workload as :func:`test_batched_pipeline_throughput` plus
-    the density accumulator, dispatched through the fused backend —
-    the headline number the backend seam exists to improve. The
-    2x-vs-numpy floor is asserted separately in
-    :func:`test_batched_pipeline_backend_floor`.
+    the density accumulator. The 2x floor over the reference kernels
+    is asserted separately in
+    :func:`test_batched_pipeline_kernel_floor`.
     """
-    from repro.signal import use_kernel_backend
-
-    pipeline = _backend_pipeline()
-    with use_kernel_backend("fused"):
-        eyes, acc = benchmark(pipeline)
+    pipeline = _kernel_pipeline()
+    eyes, acc = benchmark(pipeline)
     assert len(eyes) == 64
     assert int(np.asarray(acc.grid).sum()) > 0
 
 
-def test_batched_pipeline_backend_floor(monkeypatch):
-    """The ``fused`` backend must hold >= 2x over ``numpy`` on the
-    64-channel batched pipeline (the optimization this PR's seam
-    ships; measured ~2.5x at recording time). min-of-N timing so a
-    single scheduler hiccup cannot fail the gate.
+def test_batched_pipeline_kernel_floor():
+    """The batched kernels must hold >= 2x over the reference kernels
+    of ``tests/_kernel_reference.py`` on the 64-channel pipeline.
 
-    Part of the fused margin rides on channel-axis threading, so the
-    gate skips on runners with fewer than 4 CPUs (a contended 2-core
-    runner can dip below 2x with no regression) and pins
-    ``REPRO_KERNEL_THREADS`` so the measurement does not drift with
-    ambient environment.
+    A serial A/B in one process: the two pipelines alternate round
+    by round, and each side's time is its fastest of 9 rounds, so a
+    scheduler hiccup or a slow spell of the host hits both.
     """
-    import os as _os
+    import sys
     import time as _time
+    from pathlib import Path
 
-    from repro.signal import use_kernel_backend
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from tests._kernel_reference import reference_kernels
 
-    n_cpus = _os.cpu_count() or 1
-    if n_cpus < 4:
-        pytest.skip(f"fused-vs-numpy floor needs >= 4 CPUs for the "
-                    f"channel-axis threading margin (have {n_cpus})")
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
-
-    def best(backend_name, rounds=9):
-        pipeline = _backend_pipeline()
-        times = []
-        with use_kernel_backend(backend_name):
-            pipeline()  # warm design/template/matrix caches
-            for _ in range(rounds):
-                t0 = _time.perf_counter()
-                pipeline()
-                times.append(_time.perf_counter() - t0)
-        return min(times)
-
-    t_numpy = best("numpy")
-    t_fused = best("fused")
-    speedup = t_numpy / t_fused
+    pipeline = _kernel_pipeline()
+    with reference_kernels():
+        pipeline()  # warm the template and matrix caches
+    pipeline()
+    t_ref, t_kernels = [], []
+    for _ in range(9):
+        with reference_kernels():
+            t0 = _time.perf_counter()
+            pipeline()
+            t_ref.append(_time.perf_counter() - t0)
+        t0 = _time.perf_counter()
+        pipeline()
+        t_kernels.append(_time.perf_counter() - t0)
+    speedup = min(t_ref) / min(t_kernels)
     assert speedup >= 2.0, (
-        f"fused backend only {speedup:.2f}x over numpy "
-        f"(numpy {t_numpy * 1e3:.2f} ms, fused {t_fused * 1e3:.2f} ms)"
+        f"batched kernels only {speedup:.2f}x over the reference "
+        f"kernels (reference {min(t_ref) * 1e3:.2f} ms, kernels "
+        f"{min(t_kernels) * 1e3:.2f} ms)"
     )
 
 

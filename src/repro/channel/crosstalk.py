@@ -203,15 +203,12 @@ class CrosstalkMatrix:
                 f"{len(names)} names"
             )
         # The weight matrices are a pure function of this value key;
-        # backends may memoize on it instead of re-walking the O(c^2)
+        # the kernel memoizes on it instead of re-walking the O(c^2)
         # spec table per batch.
         weights_key = (tuple(names), tuple(self.names),
                        self.adjacent, self.next_adjacent)
-        from repro import telemetry
-        from repro.signal import _backend
+        from repro.signal._kernels import coupling_mix
 
-        coupling_mix = _backend.dispatch("coupling_mix",
-                                         telemetry.resolve(None))
         out = coupling_mix(batch.values, batch.dt, weights_key,
                            lambda: self.coupling_weights(names))
         return WaveformBatch(out, dt=batch.dt, t0=batch.t0)

@@ -153,11 +153,8 @@ class LTIChannel:
         else:
             n_imp = min(batch.n_samples, max(64, int(16.0
                         * f_nyquist / f_cut)))
-            from repro import telemetry
-            from repro.signal import _backend
+            from repro.signal._kernels import sosfilt_batch
 
-            sosfilt_batch = _backend.dispatch(
-                "sosfilt_batch", telemetry.resolve(None))
             filtered, group_delay_samples = sosfilt_batch(
                 batch.values, self.order, f_cut / f_nyquist, n_imp)
         return WaveformBatch(

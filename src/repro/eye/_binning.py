@@ -98,44 +98,3 @@ def density_grid(phases: np.ndarray, voltages: np.ndarray, ui: float,
     )
     return hist, t_edges, v_edges
 
-
-def density_grid_stack(phases: np.ndarray, voltages: np.ndarray,
-                       t_edges: np.ndarray,
-                       v_edges: np.ndarray) -> np.ndarray:
-    """Per-row 2-D densities for a ``(channels, samples)`` stack.
-
-    One ``np.histogramdd`` call with the row index as a third
-    coordinate replaces a per-channel loop of ``np.histogram2d``
-    calls. ``histogram2d`` is itself a thin ``histogramdd`` wrapper,
-    so with identical explicit *t_edges*/*v_edges* every sample
-    lands in exactly the bin the per-channel call would choose —
-    each row of the result is *bit-identical* to
-    ``np.histogram2d(phases, voltages[c], bins=(t_edges, v_edges))``
-    (counts are integers, so sums over channels are exact too).
-
-    Parameters
-    ----------
-    phases:
-        Shared folded sample phases, shape ``(samples,)``.
-    voltages:
-        Sample stack, shape ``(channels, samples)``.
-    t_edges, v_edges:
-        Explicit bin edges for the phase and voltage axes.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(channels, n_time_bins, n_volt_bins)`` float64 counts.
-    """
-    voltages = np.asarray(voltages, dtype=np.float64)
-    c, n = voltages.shape
-    if c == 0 or n == 0:
-        return np.zeros((c, len(t_edges) - 1, len(v_edges) - 1),
-                        dtype=np.float64)
-    rows = np.repeat(np.arange(c, dtype=np.float64), n)
-    hist, _ = np.histogramdd(
-        (rows, np.tile(np.asarray(phases, dtype=np.float64), c),
-         voltages.reshape(-1)),
-        bins=(np.arange(c + 1, dtype=np.float64), t_edges, v_edges),
-    )
-    return hist

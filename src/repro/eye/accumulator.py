@@ -227,7 +227,7 @@ class EyeAccumulator:
         sums match to float round-off (summation order).
         """
         from repro.eye._binning import fold_phases
-        from repro.signal import _backend
+        from repro.signal._kernels import density_bin, eye_fold
 
         c = batch.n_channels
         if self.n_channels is not None and c != self.n_channels:
@@ -266,16 +266,12 @@ class EyeAccumulator:
             n = batch.n_samples
             phases = fold_phases(batch.t0 - self.t_first_bit,
                                  self._dt, n, ui)
-            density_bin = _backend.dispatch("density_bin", tel)
-            # Counts are integer-valued; backends may return int64
-            # (exact, and asarray skips the copy) or float64.
             hist = density_bin(phases, values, self.t_edges,
                                self.v_edges)
             if self.n_channels is None:
-                self.grid += np.asarray(hist.sum(axis=0),
-                                        dtype=np.int64)
+                self.grid += hist.sum(axis=0)
             else:
-                self.grid += np.asarray(hist, dtype=np.int64)
+                self.grid += hist
                 self.n_samples_per_channel += n
             self.n_samples += values.size
 
@@ -287,7 +283,6 @@ class EyeAccumulator:
             else:
                 seam = values
                 seam_t0 = batch.t0
-            eye_fold = _backend.dispatch("eye_fold", tel)
             rows, cols, frac = eye_fold(
                 seam, np.full(c, self.threshold))
             if len(rows):

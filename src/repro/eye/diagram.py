@@ -242,11 +242,9 @@ class EyeDiagram:
                 thr = 0.5 * (batch.values.min(axis=1)
                              + batch.values.max(axis=1))
 
-            # Vectorized threshold_crossings over every row, through
-            # the active kernel backend's fold op.
-            from repro.signal import _backend
+            # Vectorized threshold_crossings over every row.
+            from repro.signal._kernels import eye_fold
 
-            eye_fold = _backend.dispatch("eye_fold", tel)
             rows, cols, frac = eye_fold(values, thr)
             crossings = (t0w + dt * (cols + frac)) - t_first_bit
             crossing_phases = np.mod(crossings, ui)

@@ -33,12 +33,6 @@ from repro.signal.prbs import (
     prbs_bits_batch,
     PRBS_POLYNOMIALS,
 )
-from repro.signal._backend import (
-    KernelBackend,
-    register_kernel_backend,
-    registered_kernel_backends,
-    use_kernel_backend,
-)
 from repro.signal.spectrum import (
     analyze_clock,
     occupied_bandwidth,
@@ -75,10 +69,6 @@ __all__ = [
     "prbs_bits",
     "prbs_bits_batch",
     "PRBS_POLYNOMIALS",
-    "KernelBackend",
-    "register_kernel_backend",
-    "registered_kernel_backends",
-    "use_kernel_backend",
     "power_spectrum",
     "spectral_peak",
     "analyze_clock",

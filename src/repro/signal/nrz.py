@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.signal import _backend, _kernels
+from repro.signal import _kernels
 from repro.signal.edges import EdgeShape
 from repro.signal.jitter import JitterModel
 from repro.signal.waveform import Waveform, WaveformBatch
@@ -154,9 +154,8 @@ class NRZEncoder:
         """Render a ``(channels, n_bits)`` bit block as a batch.
 
         The batched counterpart of :meth:`encode`: every channel is
-        rendered through one flattened kernel pass (the
-        ``render_nrz_batch`` op of the active
-        :class:`repro.signal._backend.KernelBackend`) sharing a
+        rendered through one kernel pass
+        (:func:`repro.signal._kernels.render_nrz_batch`) sharing a
         single edge template, with no per-channel Python loop. The
         output is *bit-identical* per row to calling :meth:`encode`
         on each channel when *jitter* is None; with a jitter model
@@ -265,8 +264,7 @@ class NRZEncoder:
             swing = self.v_high - self.v_low
             base = self.v_low + swing * bits[:, 0].astype(np.float64) \
                 if len(bits) else np.empty(0, dtype=np.float64)
-            render = _backend.dispatch("render_nrz_batch", tel)
-            v = render(
+            v = _kernels.render_nrz_batch(
                 len(bits), n, t_start, self.dt, base=base, swing=swing,
                 times=times, directions=directions, rows=rows,
                 t20_80=self.t20_80, shape=self.shape, tel=tel,

@@ -47,7 +47,7 @@ def prbs_bits(order: int, length: int, seed: int = 1,
     """Generate *length* bits of a PRBS-*order* sequence.
 
     Generation is blockwise over GF(2) (see
-    :func:`repro.signal._kernels.prbs_bits_blockwise`) and bit-exact
+    :func:`repro.signal._kernels.prbs_blockwise`) and bit-exact
     against the scalar LFSR (:func:`prbs_bits_scalar`), including
     the :func:`advance_state` / :func:`prbs_shard_states` tiling
     contract used by sharded runs.
@@ -73,45 +73,36 @@ def prbs_bits(order: int, length: int, seed: int = 1,
     """
     _check_prbs_args(order, length, seed)
     from repro import cache as _cache
-    from repro import telemetry
-    from repro.signal import _backend
+    from repro.signal._kernels import prbs_blockwise
 
     tap_a, tap_b = PRBS_POLYNOMIALS[order]
-    generate = _backend.dispatch("prbs_blockwise",
-                                 telemetry.resolve(None))
     store = _cache.resolve(cache)
     if store.enabled:
-        # Keys never depend on the active backend (every backend is
-        # bit-exact), so cached streams stay shared across backends.
         key = _cache.canonical_digest("prbs_bits", order, length, seed)
         return store.get_or_compute(
-            key, lambda: generate(order, length, seed, tap_a, tap_b),
+            key,
+            lambda: prbs_blockwise(order, length, seed, tap_a, tap_b),
         )
-    return generate(order, length, seed, tap_a, tap_b)
+    return prbs_blockwise(order, length, seed, tap_a, tap_b)
 
 
 def prbs_bits_batch(order: int, length: int,
                     seeds: Sequence[int]) -> np.ndarray:
     """A ``(len(seeds), length)`` block of PRBS-*order* streams.
 
-    Row *k* is bit-exact ``prbs_bits(order, length, seeds[k])`` —
-    the batched entry point simply hands all seeds to the active
-    kernel backend at once (the ``fused`` backend advances every
-    state through one matrix product per block instead of one per
-    seed). Combine with :func:`prbs_shard_states` to tile one
-    serial stream across rows.
+    Row *k* is bit-exact ``prbs_bits(order, length, seeds[k])``;
+    every state advances through one matrix product per block
+    instead of one per seed. Combine with :func:`prbs_shard_states`
+    to tile one serial stream across rows.
     """
     seeds = [int(s) for s in seeds]
     _check_prbs_args(order, length, 1)  # order/length, even seedless
     for s in seeds:
         _check_prbs_args(order, length, s)
-    from repro import telemetry
-    from repro.signal import _backend
+    from repro.signal._kernels import prbs_blockwise
 
     tap_a, tap_b = PRBS_POLYNOMIALS[order]
-    generate = _backend.dispatch("prbs_blockwise",
-                                 telemetry.resolve(None))
-    return generate(order, length, seeds, tap_a, tap_b)
+    return prbs_blockwise(order, length, seeds, tap_a, tap_b)
 
 
 def prbs_bits_scalar(order: int, length: int, seed: int = 1) -> np.ndarray:

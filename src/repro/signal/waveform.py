@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MeasurementError
 
 
 class Waveform:
@@ -273,6 +273,14 @@ class WaveformBatch:
     tokens:
         Optional per-row provenance tokens (``repro.cache`` keys of
         the producing stage), one per channel.
+
+    Raises
+    ------
+    MeasurementError
+        If any sample is NaN or infinite (counted as
+        ``signal.nonfinite_rejected``): downstream filtering would
+        smear it over the row and the eye fold would silently drop
+        the channel's crossings.
     """
 
     __slots__ = ("_values", "_dt", "_t0", "_tokens")
@@ -287,6 +295,13 @@ class WaveformBatch:
                 f"batch values must be 2-D (channels x samples), "
                 f"got shape {self._values.shape}"
             )
+        if not np.isfinite(self._values).all():
+            from repro import telemetry
+
+            telemetry.resolve(None).counter(
+                "signal.nonfinite_rejected").inc()
+            raise MeasurementError(
+                "batch values must be finite (got NaN or inf)")
         self._dt = float(dt)
         self._t0 = float(t0)
         n = self._values.shape[0]

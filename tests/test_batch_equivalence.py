@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cache as artifact_cache
+from repro import telemetry
 from repro.cache import ArtifactCache
 from repro.channel.crosstalk import (
     XTALK_EQUIVALENCE_ATOL,
@@ -44,41 +45,55 @@ from repro.optics.wdm import (
     stack_channels,
     unstack_channels,
 )
-from repro.signal import _backend
 from repro.signal.edges import EdgeShape
 from repro.signal.jitter import JitterBudget
 from repro.signal.nrz import NRZEncoder
 from repro.signal.prbs import prbs_bits
 from repro.signal.waveform import Waveform, WaveformBatch
+from tests import _kernel_reference
 
 
-@pytest.fixture(
-    scope="module", autouse=True,
-    params=_backend.registered_kernel_backends(),
-)
-def _kernel_backend(request):
-    """Run the whole batched-vs-scalar suite once per registered
-    array-ops backend: batched stages must match the per-channel
-    reference loops (and share cache keys with them) no matter
-    which backend executes the batched side. Module-scoped so
+@pytest.fixture(scope="module", autouse=True, params=["numpy", "fused"])
+def _batched_kernels(request):
+    """Run the whole batched-vs-scalar suite twice: ``fused`` on the
+    shipping batched kernels, ``numpy`` with the reference kernels of
+    ``tests/_kernel_reference.py`` swapped in. Batched stages must
+    match the per-channel loops (and share cache keys with them) on
+    both, which keeps the oracle honest too. Module-scoped so
     hypothesis ``@given`` tests can share it."""
-    backend = _backend.get_kernel_backend(request.param)
-    if not backend.available():
-        pytest.skip(f"kernel backend {request.param!r} unavailable")
-    with _backend.use_kernel_backend(request.param):
+    if request.param == "numpy":
+        with _kernel_reference.reference_kernels():
+            yield request.param
+    else:
         yield request.param
 
 
 # -- strategies -----------------------------------------------------------
 
-bit_blocks = st.integers(0, 2 ** 31 - 1).flatmap(
-    lambda seed: st.tuples(st.integers(1, 6), st.integers(1, 40)).map(
-        lambda shape: np.random.default_rng(seed).integers(
-            0, 2, size=shape, dtype=np.int8)
-    )
-)
+def _bit_block(seed, n_rows, n_bits, constant_rows):
+    """Random bits; with *constant_rows*, about half the rows are
+    held at one level (zero edges)."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(n_rows, n_bits), dtype=np.int8)
+    if constant_rows:
+        bits[rng.random(n_rows) < 0.5] = rng.integers(0, 2)
+    return bits
+
+
+# 1-24 channels (wide blocks as well as narrow ones), with or
+# without constant rows.
+bit_blocks = st.builds(_bit_block, st.integers(0, 2 ** 31 - 1),
+                       st.integers(1, 24), st.integers(1, 40),
+                       st.booleans())
 
 edge_shapes = st.sampled_from(list(EdgeShape))
+
+#: ``(rate_gbps, dt)`` grids: 2.5 Gbps on 1 ps is the integer grid;
+#: at 10 Gbps the edge windows run off both ends of the record; a
+#: 3 Gbps unit interval or a fractional ``dt`` puts the edges off the
+#: integer grid (the flattened render).
+encoder_grids = st.sampled_from([(2.5, 1.0), (10.0, 1.0), (3.0, 1.0),
+                                 (2.5, 2.5), (10.0, 0.75)])
 
 
 def _batch_from_bits(bits, rate=2.5, t20_80=72.0,
@@ -96,11 +111,13 @@ class TestNRZGoldenEquivalence:
     """encode_batch rows == per-channel encode, bitwise."""
 
     @given(bits=bit_blocks, t20_80=st.sampled_from(
-        [0.0, 40.0, 72.0, 120.0]), shape=edge_shapes)
+        [0.0, 40.0, 72.0, 120.0]), shape=edge_shapes,
+        grid=encoder_grids)
     @settings(max_examples=30, deadline=None)
-    def test_rows_bit_identical(self, bits, t20_80, shape):
-        _, batch, rows = _batch_from_bits(bits, t20_80=t20_80,
-                                          shape=shape)
+    def test_rows_bit_identical(self, bits, t20_80, shape, grid):
+        rate, dt = grid
+        _, batch, rows = _batch_from_bits(bits, rate=rate, dt=dt,
+                                          t20_80=t20_80, shape=shape)
         assert batch.n_channels == len(bits)
         for i, ref in enumerate(rows):
             assert batch.dt == ref.dt and batch.t0 == ref.t0
@@ -116,6 +133,17 @@ class TestNRZGoldenEquivalence:
         """One bit per row: no edges, pure rail hold."""
         bits = np.array([[0], [1], [1]])
         _, batch, rows = _batch_from_bits(bits)
+        for i, ref in enumerate(rows):
+            assert np.array_equal(batch.values[i], ref.values)
+
+    def test_constant_bit_channels(self):
+        """Edges only in rows 0-7 of 32: every later row renders its
+        base level with no edges to scatter."""
+        bits = np.zeros((32, 64), dtype=np.int8)
+        rng = np.random.default_rng(11)
+        bits[:8] = rng.integers(0, 2, size=(8, 64), dtype=np.int8)
+        bits[20:] = 1
+        _, batch, rows = _batch_from_bits(bits, rate=10.0, dt=25.0)
         for i, ref in enumerate(rows):
             assert np.array_equal(batch.values[i], ref.values)
 
@@ -579,6 +607,61 @@ class TestBatchedCacheComposition:
                 assert np.array_equal(eye.voltages, ref_eye.voltages)
                 assert np.array_equal(eye.crossing_phases,
                                       ref_eye.crossing_phases)
+
+
+class TestNonFiniteSamples:
+    """A NaN or inf sample is a typed error at the batch boundary,
+    counted, never a deep NumPy error or a silently empty eye."""
+
+    @staticmethod
+    def _block(bad):
+        bits = np.random.default_rng(2).integers(
+            0, 2, size=(3, 200), dtype=np.int8)
+        _, batch, _ = _batch_from_bits(bits)
+        values = batch.values.copy()
+        values[1, 417] = bad
+        return values, batch.dt, batch.t0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_accumulator_update_gets_typed_error(self, bad):
+        values, dt, t0 = self._block(bad)
+        acc = EyeAccumulator(2.5, v_range=(-0.5, 0.5), threshold=0.0,
+                             n_channels=3)
+        with telemetry.use_registry() as reg:
+            with pytest.raises(MeasurementError, match="finite"):
+                acc.update(WaveformBatch(values, dt=dt, t0=t0))
+        assert reg.to_dict()["counters"][
+            "signal.nonfinite_rejected"] == 1
+        assert acc.n_samples == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_filtered_eye_never_reports_zero_crossings(self, bad):
+        """Unchecked, the LTI filter smears the sample over the row
+        and the fold reports 0 crossings for that channel."""
+        values, dt, t0 = self._block(bad)
+        with pytest.raises(MeasurementError, match="finite"):
+            EyeDiagram.from_batch(
+                LTIChannel(3.0).apply_batch(
+                    WaveformBatch(values, dt=dt, t0=t0)), 2.5)
+
+    def test_finite_batch_is_not_counted(self):
+        values, dt, t0 = self._block(0.1)
+        with telemetry.use_registry() as reg:
+            WaveformBatch(values, dt=dt, t0=t0)
+        assert reg.to_dict()["counters"].get(
+            "signal.nonfinite_rejected", 0) == 0
+
+    def test_from_waveforms_rejects_nonfinite_row(self):
+        rows = [Waveform(np.zeros(8)), Waveform(np.full(8, np.nan))]
+        with pytest.raises(MeasurementError, match="finite"):
+            WaveformBatch.from_waveforms(rows)
+
+    def test_arithmetic_overflow_rejected(self):
+        """A derived batch is checked too: 1e308 + 1e308 is inf."""
+        big = WaveformBatch(np.full((2, 4), 1e308))
+        with np.errstate(over="ignore"), \
+                pytest.raises(MeasurementError, match="finite"):
+            big + big
 
 
 class TestCacheKeyRegression:

@@ -31,7 +31,7 @@ from repro.eye.bathtub import (
     bathtub_curve,
     empirical_bathtub,
 )
-from repro.signal import _backend, _kernels
+from repro.signal import _kernels
 from repro.signal.edges import EdgeShape, edge_profile
 from repro.signal.jitter import JitterBudget
 from repro.signal.nrz import NRZEncoder
@@ -47,21 +47,21 @@ from repro.vortex.node import RoutingDecision, RoutingNode
 from repro.vortex.routing import at_destination, wants_descent
 from repro.vortex.stats import FabricStats
 from repro.vortex.topology import NodeAddress, VortexTopology
+from tests import _kernel_reference
 
 
-@pytest.fixture(
-    scope="module", autouse=True,
-    params=_backend.registered_kernel_backends(),
-)
-def _kernel_backend(request):
-    """Run the whole golden suite once per registered array-ops
-    backend — every scalar-reference check must hold regardless of
-    which backend computes the vectorized side. Module-scoped so
-    hypothesis ``@given`` tests can share it."""
-    backend = _backend.get_kernel_backend(request.param)
-    if not backend.available():
-        pytest.skip(f"kernel backend {request.param!r} unavailable")
-    with _backend.use_kernel_backend(request.param):
+@pytest.fixture(scope="module", autouse=True, params=["numpy", "fused"])
+def _batched_kernels(request):
+    """Run the whole golden suite twice: ``fused`` on the shipping
+    batched kernels, ``numpy`` with the reference kernels of
+    ``tests/_kernel_reference.py`` swapped in. Every scalar-reference
+    check must hold for both, which keeps the oracle the kernel
+    pins compare against honest too. Module-scoped so hypothesis
+    ``@given`` tests can share it."""
+    if request.param == "numpy":
+        with _kernel_reference.reference_kernels():
+            yield request.param
+    else:
         yield request.param
 
 
@@ -341,8 +341,8 @@ class TestPRBSEquivalence:
         """Bit-exact for arbitrary (order, seed, length, block)."""
         seed = 1 + seed_frac % ((1 << order) - 1)
         tap_a, tap_b = PRBS_POLYNOMIALS[order]
-        got = _kernels.prbs_bits_blockwise(order, length, seed,
-                                           tap_a, tap_b, block=block)
+        got = _kernels.prbs_blockwise(order, length, seed,
+                                      tap_a, tap_b, block=block)
         assert np.array_equal(got,
                               prbs_bits_scalar(order, length, seed))
 

@@ -42,6 +42,28 @@ def wait_terminal(cli, job_id, timeout_s=60.0):
     raise AssertionError(f"job {job_id} never finished")
 
 
+def events_until_terminal(cli, job_ids, timeout_s=30.0):
+    """Every event received up to each job's terminal state event.
+
+    A status poll can see a job finish before its final state event
+    has reached the subscriber's socket, so read until it arrives.
+    """
+    deadline = time.monotonic() + timeout_s
+    pending = {f"job.{j}.state" for j in job_ids}
+    events = []
+    while pending:
+        event = cli.next_event(
+            timeout_s=max(0.0, deadline - time.monotonic()))
+        if event is None:
+            raise AssertionError(
+                f"no terminal state event on {sorted(pending)}")
+        events.append(event)
+        if event["event"] in pending \
+                and event["data"]["state"] in TERMINAL:
+            pending.discard(event["event"])
+    return events + cli.drain_events()
+
+
 def direct_shmoo():
     from repro.core.minitester import MiniTester
     from repro.host.shmoo import minitester_strobe_rate_shmoo
@@ -121,7 +143,9 @@ class TestMultiTenantFloor:
 
                 # -- preemption was real: the shmoo paused and the
                 # whole lifecycle streamed to the subscriber.
-                events = watcher.drain_events()
+                events = events_until_terminal(
+                    watcher, [shmoo["job_id"], ber["job_id"],
+                              eye["job_id"]])
                 shmoo_states = [
                     e["data"]["state"] for e in events
                     if e["event"] ==

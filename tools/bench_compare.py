@@ -21,13 +21,6 @@ performance change):
     python tools/bench_compare.py bench.json \\
         --baseline benchmarks/BENCH_simulation_speed.json \\
         --record --label "vectorized NRZ + fabric kernels"
-
-Per-backend records: a run taken under a non-default array-ops
-backend (``REPRO_KERNEL_BACKEND=fused python -m pytest ...``) should
-be namespaced with ``--backend fused`` so its keys become
-``name[fused]``. Comparison only ever pairs identical keys, so
-same-backend runs gate against same-backend baselines and never
-against another backend's numbers.
 """
 
 from __future__ import annotations
@@ -49,17 +42,11 @@ from _report import (  # noqa: E402
 DEFAULT_MAX_REGRESSION = 0.30
 
 
-def read_benchmark_means(path, backend: str = "") -> dict:
-    """``{test_name: mean_seconds}`` from a pytest-benchmark export.
-
-    With *backend*, keys are namespaced ``name[backend]`` so runs
-    taken under different array-ops backends record and gate
-    independently (identical keys are the only pairs compared).
-    """
+def read_benchmark_means(path) -> dict:
+    """``{test_name: mean_seconds}`` from a pytest-benchmark export."""
     with open(path) as fh:
         doc = json.load(fh)
-    suffix = f"[{backend}]" if backend else ""
-    return {b["name"] + suffix: float(b["stats"]["mean"])
+    return {b["name"]: float(b["stats"]["mean"])
             for b in doc["benchmarks"]}
 
 
@@ -115,15 +102,9 @@ def main(argv=None) -> int:
                              "(required with --record)")
     parser.add_argument("--note", default="",
                         help="optional note stored with the point")
-    parser.add_argument("--backend", default="",
-                        help="array-ops backend the bench run used "
-                             "(REPRO_KERNEL_BACKEND); namespaces "
-                             "keys as name[backend] so only "
-                             "same-backend pairs are compared")
     args = parser.parse_args(argv)
 
-    measured = read_benchmark_means(args.benchmark_json,
-                                    backend=args.backend)
+    measured = read_benchmark_means(args.benchmark_json)
     if not measured:
         print("no benchmarks in export; nothing to compare",
               file=sys.stderr)
@@ -145,14 +126,7 @@ def main(argv=None) -> int:
         if not args.label:
             print("--record requires --label", file=sys.stderr)
             return 2
-        recorded = measured
-        if args.backend and baseline_path.exists():
-            # A backend-namespaced run only re-measures its own
-            # keys; carry the other keys forward so the next
-            # comparison still gates the full suite.
-            recorded = dict(latest_baseline(baseline_path))
-            recorded.update(measured)
-        append_trajectory_point(baseline_path, args.label, recorded,
+        append_trajectory_point(baseline_path, args.label, measured,
                                note=args.note)
         print(f"recorded trajectory point {args.label!r} "
               f"into {baseline_path}")

@@ -92,8 +92,9 @@ equivalence contract against its scalar reference, enforced by
   per-edge profile evaluation; zero rise time is bit-exact, and
   `EdgeShape.LINEAR` bypasses the template for the exact ramp.
   Cache traffic is observable as `nrz.template_cache.{hits,misses}`.
-- **PRBS generation** (`_kernels.prbs_bits_blockwise`): blockwise
-  GF(2) matrix products (8192 bits per application), *bit-exact*
+- **PRBS generation** (`_kernels.prbs_blockwise`): blockwise
+  GF(2) matrix products (up to 8192 bits per application, every
+  seed of a batch in one product), *bit-exact*
   against the scalar Fibonacci LFSR (kept public as
   `prbs_bits_scalar`) and composable with `advance_state` /
   `prbs_shard_states` stream tiling.
@@ -235,60 +236,18 @@ speed floor lives in `benchmarks/test_bench_scaling_terabit.py
 faster than the per-channel loop on a 64-channel, 10 Gbps array
 (per-channel overhead — filter design, edge-template setup, fold
 bookkeeping — is paid once per block instead of once per channel).
-"""
 
-BACKENDS = """\
-## Array-Ops Backends
-
-The batched hot loops — NRZ edge rendering, batch `sosfilt`,
-crosstalk mixing, eye folding, density binning, blockwise PRBS —
-dispatch through a pluggable ops table (`repro.signal._backend
-.KernelBackend`) instead of calling one implementation directly.
-Three backends register at import:
-
-- **`numpy`** (default) — the reference implementation, unchanged
-  vectorized kernels; zero behavior difference from earlier
-  releases.
-- **`fused`** — pure NumPy too, but restructured: memoized filter
-  designs and coupling matrices, grouped edge-profile rendering,
-  arithmetic-guess histogram binning, flat-index eye folding, and
-  optional channel-axis threading (`REPRO_KERNEL_THREADS`). Holds
-  a **>= 2x** floor over `numpy` on the 64-channel 10 Gbps batched
-  pipeline (gated in CI via `benchmarks/test_bench_simulation_speed
-  .py::test_batched_pipeline_backend_floor`).
-- **`numba`** — `@njit(parallel=True)` kernels, compiled lazily on
-  first use. Registered always; *available* only when numba is
-  installed (the `optional-deps` CI job). Selecting it without
-  numba raises — no silent fallback.
-
-Selection nests and restores like the executor registry it
-mirrors:
-
-```python
-from repro.signal import use_kernel_backend
-
-with use_kernel_backend("fused"):
-    block = encoder.encode_batch(bits)     # fused render
-# out of scope: back to the default
-```
-
-or process-wide with `REPRO_KERNEL_BACKEND=fused` (a
-`use_kernel_backend` scope wins over the environment variable).
-Third-party backends (a CuPy port is a ~100-line subclass)
-register with `register_kernel_backend()` and are then first-class:
-the golden suites (`tests/test_kernels_equivalence.py`,
-`tests/test_batch_equivalence.py`) parametrize over
-`registered_kernel_backends()`, so every backend is held to the
-same scalar-reference equivalence contract. Equivalence is
-**bit-identical** for every op (the fused fast paths reproduce the
-reference accumulation order exactly and fall back to the
-reference kernels off the integer time grid), cache keys never
-encode the backend name (a store warmed under one backend hits
-under another, byte-identically), and every dispatch tallies
-`kernels.backend.<name>.<op>` telemetry counters. Per-backend
-bench records go through `tools/bench_compare.py --backend=<name>`,
-which namespaces keys as `name[backend]` so only same-backend
-pairs are ever compared.
+Every batched stage calls one kernel in `repro.signal._kernels`:
+`render_nrz_batch` (grouped edge profiles on integer time grids,
+the flattened render off them), `sosfilt_batch` and `coupling_mix`
+(memoized filter designs and coupling weights), `eye_fold`,
+`density_bin`, and `prbs_blockwise`. Each is bit-identical to the
+plain reference kernel it replaced (`tests/_kernel_reference.py`),
+and the 64-channel pipeline holds a >= 2x floor over those
+(`benchmarks/test_bench_simulation_speed.py
+::test_batched_pipeline_kernel_floor`, a serial A/B). A NaN or
+infinite sample is rejected when the `WaveformBatch` is built
+(`MeasurementError`, counted as `signal.nonfinite_rejected`).
 """
 
 PARALLEL = """\
@@ -539,7 +498,6 @@ def main() -> int:
         OBSERVABILITY,
         PERFORMANCE,
         BATCHED,
-        BACKENDS,
         CACHING,
         PARALLEL,
         DISTRIBUTED,
