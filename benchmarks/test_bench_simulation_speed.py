@@ -266,6 +266,57 @@ def test_coded_frame_throughput(benchmark):
                for f, p in zip(frames, payloads))
 
 
+def test_coded_decode_floor():
+    """The array lock scan must hold >= 5x over the per-symbol
+    state-machine loop of ``tests/_coding_reference.py`` on
+    :func:`test_coded_frame_throughput`'s 16 x 1024 B scrambled
+    block.
+
+    A serial A/B in one process, like
+    :func:`test_batched_pipeline_kernel_floor`: the two decoders
+    alternate round by round and each side's time is its fastest of
+    9 rounds. Both must recover every payload exactly.
+    """
+    import sys
+    import time as _time
+    from pathlib import Path
+
+    from repro.coding import LinkCodec
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from tests import _coding_reference
+
+    codec = LinkCodec(scramble=True, comma_period=16)
+    rng = np.random.default_rng(5)
+    payloads = rng.integers(0, 256, size=(16, 1024)).astype(np.uint8)
+    line = codec.encode_frame_batch(payloads)
+
+    def scan():
+        return codec.decode_frame_batch(line, n_bytes=1024)
+
+    def loop():
+        return _coding_reference.decode_frame_batch(codec, line,
+                                                    n_bytes=1024)
+
+    for frames in (scan(), loop()):
+        assert all(f.clean and np.array_equal(f.payload, p)
+                   for f, p in zip(frames, payloads))
+    t_loop, t_scan = [], []
+    for _ in range(9):
+        t0 = _time.perf_counter()
+        loop()
+        t_loop.append(_time.perf_counter() - t0)
+        t0 = _time.perf_counter()
+        scan()
+        t_scan.append(_time.perf_counter() - t0)
+    speedup = min(t_loop) / min(t_scan)
+    assert speedup >= 5.0, (
+        f"decode lock scan only {speedup:.2f}x over the per-symbol "
+        f"loop (loop {min(t_loop) * 1e3:.2f} ms, scan "
+        f"{min(t_scan) * 1e3:.2f} ms)"
+    )
+
+
 def test_link_lock_smoke(benchmark):
     """Lock-acquisition smoke: on a clean channel the CDR must lock
     in under two comma periods, from every bit-slip phase."""

@@ -15,7 +15,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MeasurementError
 from repro.signal.waveform import Waveform, WaveformBatch
 
 #: Documented equivalence tolerances of the batched coupling-matrix
@@ -53,13 +53,25 @@ class CouplingSpec:
             raise ConfigurationError("rise scale must be positive")
 
 
+def _require_slew(n_samples: int) -> None:
+    """Crosstalk couples the slew dV/dt: a record needs two samples."""
+    if n_samples < 2:
+        raise MeasurementError(
+            f"crosstalk needs records of >= 2 samples to take a slew, "
+            f"got {n_samples}"
+        )
+
+
 def coupled_noise(aggressor: Waveform,
                   spec: CouplingSpec = CouplingSpec()) -> Waveform:
     """The noise one aggressor injects into a parallel victim.
 
     Near-end crosstalk shape: the aggressor's derivative smoothed
     over the coupling time constant, scaled by the coupling factor.
+    Raises :class:`~repro.errors.MeasurementError` on a record of
+    fewer than 2 samples (no slew to couple).
     """
+    _require_slew(len(aggressor))
     dv = np.gradient(aggressor.values, aggressor.dt)
     # Smooth over the coupling time constant.
     sigma_samples = spec.rise_scale_ps / aggressor.dt
@@ -193,7 +205,8 @@ class CrosstalkMatrix:
         matrix's channel order; a subset models quiet lines exactly
         like a partial dict). Equivalent to the dict path within
         ``XTALK_EQUIVALENCE_RTOL``/``ATOL`` — the reordered float
-        sums agree to rounding, not bitwise.
+        sums agree to rounding, not bitwise. Rows of fewer than 2
+        samples raise :class:`~repro.errors.MeasurementError`.
         """
         if names is None:
             names = self.names
@@ -202,6 +215,7 @@ class CrosstalkMatrix:
                 f"batch has {batch.n_channels} rows for "
                 f"{len(names)} names"
             )
+        _require_slew(batch.n_samples)
         # The weight matrices are a pure function of this value key;
         # the kernel memoizes on it instead of re-walking the O(c^2)
         # spec table per batch.

@@ -43,10 +43,13 @@ def _window_codes(bits: np.ndarray) -> np.ndarray:
     """Pack every 10-bit window of *bits* into symbol integers."""
     if len(bits) < SYMBOL_BITS:
         return np.zeros(0, dtype=np.uint16)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        (bits & 1).astype(np.uint16), SYMBOL_BITS)
-    shifts = np.arange(SYMBOL_BITS - 1, -1, -1)
-    return (windows << shifts).sum(axis=-1).astype(np.uint16)
+    bits = (bits & 1).astype(np.uint16)
+    n = len(bits) - SYMBOL_BITS + 1
+    # One shifted OR per bit of the word, first bit in the MSB.
+    codes = bits[:n] << (SYMBOL_BITS - 1)
+    for j in range(1, SYMBOL_BITS):
+        codes |= bits[j:j + n] << (SYMBOL_BITS - 1 - j)
+    return codes
 
 
 class BitSlipAligner:

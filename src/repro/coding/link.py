@@ -14,19 +14,22 @@ insertion, 8b10b encode on the way out; bit-slip alignment, decode,
 lock tracking, payload extraction and descrambling on the way back.
 Encoding is fully vectorized and accepts batched ``(channels,
 n_bytes)`` payloads bit-identically to the per-row scalar path.
+Decoding is vectorized per aligned segment, lock tracking included:
+one array scan finds where the state machine locks and loses lock,
+instead of stepping it symbol by symbol.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.coding.align import Alignment, BitSlipAligner
+from repro.coding.align import BitSlipAligner
 from repro.coding.code8b10b import (
     COMMA, SYMBOL_BITS, decode_stream, encode_stream,
 )
@@ -110,6 +113,46 @@ class LinkLockStateMachine:
                 if self.first_lock_symbols is None:
                     self.first_lock_symbols = self.symbols
         return self.state
+
+
+def _lock_scan(commas: np.ndarray, violations: np.ndarray,
+               lock_commas: int, loss_window: int,
+               loss_violations: int):
+    """Lock-track one aligned segment in array form.
+
+    The exact equivalent of stepping a :class:`LinkLockStateMachine`
+    that enters the segment in HUNT (as every segment does) over
+    ``(commas, violations)`` until the receive loop would leave the
+    segment. Returns ``(steps, lock, loss)``: the symbols stepped
+    (the segment ends at the first symbol that leaves the machine in
+    HUNT — a code violation before lock, or a loss of lock), and the
+    indices of the locking and the lock-losing symbol, each ``None``
+    if the segment has none.
+
+    Before lock the machine's comma count is the commas since the
+    last violation, so it locks at the first symbol where that
+    count reaches *lock_commas* and sits in HUNT wherever it is 0.
+    After lock, it loses lock at the first symbol whose trailing
+    *loss_window* violations since the lock reach *loss_violations*.
+    """
+    n = len(commas)
+    seen = np.cumsum(commas)
+    seen -= np.maximum.accumulate(np.where(violations, seen, 0))
+    hits = np.flatnonzero(seen >= lock_commas)
+    lock = int(hits[0]) if len(hits) else n
+    hunting = np.flatnonzero(seen[:lock] == 0)
+    if len(hunting):
+        return int(hunting[0]) + 1, None, None
+    if lock == n:
+        return n, None, None
+    in_window = np.cumsum(violations[lock + 1:])
+    in_window[loss_window:] = in_window[loss_window:] \
+        - in_window[:-loss_window]
+    hits = np.flatnonzero(in_window >= loss_violations)
+    if len(hits) == 0:
+        return n, lock, None
+    loss = lock + 1 + int(hits[0])
+    return loss + 1, lock, loss
 
 
 @dataclasses.dataclass
@@ -262,15 +305,19 @@ class LinkCodec:
             )
         n_rows, n_bytes = payloads.shape
         tel = telemetry.resolve(self.telemetry)
-        if self.scramble:
-            scrambled, _ = self.scrambler.scramble(
-                np.unpackbits(payloads, axis=-1))
-            payloads = np.packbits(scrambled, axis=-1)
-        k_mask, payload_positions = self._frame_symbol_layout(n_bytes)
-        symbols = np.full((n_rows, len(k_mask)), COMMA, dtype=np.uint8)
-        symbols[:, payload_positions] = payloads
-        bits, _ = encode_stream(
-            symbols, k=np.broadcast_to(k_mask, symbols.shape), rd=rd)
+        with tel.span("coding.encode_frame_batch"):
+            if self.scramble:
+                scrambled, _ = self.scrambler.scramble(
+                    np.unpackbits(payloads, axis=-1))
+                payloads = np.packbits(scrambled, axis=-1)
+            k_mask, payload_positions = \
+                self._frame_symbol_layout(n_bytes)
+            symbols = np.full((n_rows, len(k_mask)), COMMA,
+                              dtype=np.uint8)
+            symbols[:, payload_positions] = payloads
+            bits, _ = encode_stream(
+                symbols, k=np.broadcast_to(k_mask, symbols.shape),
+                rd=rd)
         tel.counter("coding.symbols_encoded").inc(symbols.size)
         tel.counter("coding.commas_inserted").inc(
             int(np.count_nonzero(k_mask)) * n_rows)
@@ -285,73 +332,34 @@ class LinkCodec:
         Works from an arbitrary bit phase (leading garbage or a
         slipped stream): a bit-slip aligner hunts the comma, the
         lock state machine gates payload extraction, and a
-        violation burst sends the whole pipeline back to the hunt —
-        re-alignment included — exactly as a hardware receiver
-        would. *n_bytes* optionally truncates the recovered payload
+        violation burst after lock, or any code violation before it,
+        sends the whole pipeline back to the hunt — re-alignment
+        included — exactly as a hardware receiver would. *n_bytes* optionally truncates the recovered payload
         (the transmit-side frame length, when known).
+
+        Each aligned segment is decoded and lock-tracked in array
+        form (:func:`_lock_scan`), with the same results as stepping
+        :class:`LinkLockStateMachine` one symbol at a time.
+
+        Raises
+        ------
+        ConfigurationError
+            If *bits* is not a 1-D stream (use
+            :meth:`decode_frame_batch` for a block).
         """
-        bits = (np.asarray(bits).astype(np.uint8) & 1)
+        bits = np.asarray(bits)
+        if bits.ndim != 1:
+            raise ConfigurationError(
+                f"expected a 1-D bit stream, got shape {bits.shape}"
+            )
+        bits = bits.astype(np.uint8) & 1
         tel = telemetry.resolve(self.telemetry)
-        stats = LinkStats()
-        sm = LinkLockStateMachine(
-            lock_commas=self.lock_commas,
-            loss_window=self.loss_window,
-            loss_violations=self.loss_violations,
-        )
-        aligner = BitSlipAligner(confirm=1)
-        payload_symbols: List[np.ndarray] = []
-        pos = 0
-        while pos + SYMBOL_BITS <= len(bits):
-            alignment = aligner.find(bits, start=pos)
-            if alignment is None:
-                stats.discarded_bits += len(bits) - pos
-                break
-            stats.discarded_bits += alignment.position - pos
-            stats.slip_bits += alignment.slip
-            n_sym = (len(bits) - alignment.position) // SYMBOL_BITS
-            stop = alignment.position + n_sym * SYMBOL_BITS
-            decoded = decode_stream(bits[alignment.position:stop],
-                                    rd=alignment.polarity)
-            commas = decoded.k & (decoded.data == COMMA) \
-                & ~decoded.violations
-            resume_at = None
-            for s in range(n_sym):
-                state = sm.step(bool(commas[s]),
-                                bool(decoded.violations[s]))
-                stats.code_violations += int(decoded.violations[s])
-                stats.disparity_errors += int(
-                    decoded.disparity_errors[s])
-                if state is LinkState.LOCKED and not commas[s] \
-                        and not decoded.k[s]:
-                    # Payload keeps its slot even through a
-                    # violation (the decoder outputs *something*),
-                    # so downstream byte alignment survives single
-                    # corrupted symbols.
-                    payload_symbols.append(decoded.data[s:s + 1])
-                stats.commas += int(commas[s])
-                if state is LinkState.HUNT and sm.losses > 0 \
-                        and resume_at is None:
-                    # Lost lock: resume the comma hunt one bit past
-                    # this symbol so a slipped boundary can be
-                    # re-found at a new phase.
-                    resume_at = alignment.position \
-                        + (s + 1) * SYMBOL_BITS
-                    break
-            stats.symbols = sm.symbols
-            if resume_at is None:
-                pos = stop
-                break
-            pos = resume_at
-        stats.lock_acquisitions = sm.acquisitions
-        stats.lock_losses = sm.losses
-        stats.lock_time_symbols = sm.first_lock_symbols
-        stats.locked = sm.locked
-        payload = (np.concatenate(payload_symbols)
-                   if payload_symbols else np.zeros(0, dtype=np.uint8))
-        if self.scramble and len(payload):
-            descrambled, _ = self.scrambler.descramble(
-                np.unpackbits(payload))
-            payload = np.packbits(descrambled)
+        with tel.span("coding.decode_frame"):
+            stats, payload = self._receive(bits)
+            if self.scramble and len(payload):
+                descrambled, _ = self.scrambler.descramble(
+                    np.unpackbits(payload))
+                payload = np.packbits(descrambled)
         if n_bytes is not None:
             payload = payload[:n_bytes]
         stats.payload_symbols = len(payload)
@@ -366,13 +374,68 @@ class LinkCodec:
         tel.counter("coding.lock_losses").inc(stats.lock_losses)
         return DecodedFrame(payload=payload, stats=stats)
 
+    def _receive(self, bits: np.ndarray):
+        """(stats, line payload) of a 1-D 0/1 stream, before
+        descrambling."""
+        stats = LinkStats()
+        aligner = BitSlipAligner(confirm=1)
+        payload_symbols: List[np.ndarray] = []
+        pos = 0
+        while pos + SYMBOL_BITS <= len(bits):
+            alignment = aligner.find(bits, start=pos)
+            if alignment is None:
+                stats.discarded_bits += len(bits) - pos
+                break
+            stats.discarded_bits += alignment.position - pos
+            stats.slip_bits += alignment.slip
+            n_sym = (len(bits) - alignment.position) // SYMBOL_BITS
+            decoded = decode_stream(
+                bits[alignment.position:
+                     alignment.position + n_sym * SYMBOL_BITS],
+                rd=alignment.polarity)
+            commas = decoded.k & (decoded.data == COMMA) \
+                & ~decoded.violations
+            steps, lock, loss = _lock_scan(
+                commas, decoded.violations, self.lock_commas,
+                self.loss_window, self.loss_violations)
+            stats.code_violations += int(
+                np.count_nonzero(decoded.violations[:steps]))
+            stats.disparity_errors += int(
+                np.count_nonzero(decoded.disparity_errors[:steps]))
+            stats.commas += int(np.count_nonzero(commas[:steps]))
+            if lock is not None:
+                stats.lock_acquisitions += 1
+                if stats.lock_time_symbols is None:
+                    stats.lock_time_symbols = stats.symbols + lock + 1
+                # Payload keeps its slot even through a violation
+                # (the decoder outputs *something*), so downstream
+                # byte alignment survives single corrupted symbols.
+                end = n_sym if loss is None else loss
+                data = decoded.data[lock + 1:end]
+                payload_symbols.append(
+                    data[~decoded.k[lock + 1:end]])
+            stats.symbols += steps
+            if loss is not None:
+                stats.lock_losses += 1
+            elif steps == n_sym:
+                stats.locked = lock is not None
+                break
+            # Back in the hunt: resume one bit past the symbol that
+            # sent it there, so a slipped boundary — or one a false
+            # comma in leading garbage suggested — can be re-found
+            # at a new phase.
+            pos = alignment.position + steps * SYMBOL_BITS
+        payload = (np.concatenate(payload_symbols)
+                   if payload_symbols else np.zeros(0, dtype=np.uint8))
+        return stats, payload
+
     def decode_frame_batch(self, bits, n_bytes: Optional[int] = None
                            ) -> List[DecodedFrame]:
         """Per-row :meth:`decode_frame` over a ``(channels, n)`` block.
 
         Each row aligns independently (real lanes slip
-        independently); the symbol decode inside each row is
-        vectorized.
+        independently); the symbol decode and the lock tracking
+        inside each row are vectorized.
         """
         bits = np.asarray(bits)
         if bits.ndim != 2:

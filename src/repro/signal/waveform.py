@@ -15,6 +15,17 @@ import numpy as np
 from repro.errors import ConfigurationError, MeasurementError
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Reject NaN/inf samples, counting ``signal.nonfinite_rejected``."""
+    if not np.isfinite(values).all():
+        from repro import telemetry
+
+        telemetry.resolve(None).counter(
+            "signal.nonfinite_rejected").inc()
+        raise MeasurementError(
+            f"{what} values must be finite (got NaN or inf)")
+
+
 class Waveform:
     """A voltage record on a uniform time grid.
 
@@ -26,6 +37,12 @@ class Waveform:
         Sample spacing in picoseconds (default 1.0).
     t0:
         Time of the first sample in picoseconds (default 0.0).
+
+    Raises
+    ------
+    MeasurementError
+        If any sample is NaN or infinite (counted as
+        ``signal.nonfinite_rejected``), like :class:`WaveformBatch`.
     """
 
     __slots__ = ("_values", "_dt", "_t0", "_cache_token")
@@ -38,6 +55,7 @@ class Waveform:
             raise ConfigurationError(
                 f"waveform values must be 1-D, got shape {self._values.shape}"
             )
+        _require_finite(self._values, "waveform")
         self._dt = float(dt)
         self._t0 = float(t0)
         self._cache_token = None
@@ -295,13 +313,7 @@ class WaveformBatch:
                 f"batch values must be 2-D (channels x samples), "
                 f"got shape {self._values.shape}"
             )
-        if not np.isfinite(self._values).all():
-            from repro import telemetry
-
-            telemetry.resolve(None).counter(
-                "signal.nonfinite_rejected").inc()
-            raise MeasurementError(
-                "batch values must be finite (got NaN or inf)")
+        _require_finite(self._values, "batch")
         self._dt = float(dt)
         self._t0 = float(t0)
         n = self._values.shape[0]

@@ -652,9 +652,11 @@ class TestNonFiniteSamples:
             "signal.nonfinite_rejected", 0) == 0
 
     def test_from_waveforms_rejects_nonfinite_row(self):
-        rows = [Waveform(np.zeros(8)), Waveform(np.full(8, np.nan))]
+        """The NaN row is refused as soon as it is built: a scalar
+        ``Waveform`` checks its samples too."""
         with pytest.raises(MeasurementError, match="finite"):
-            WaveformBatch.from_waveforms(rows)
+            WaveformBatch.from_waveforms(
+                [Waveform(np.zeros(8)), Waveform(np.full(8, np.nan))])
 
     def test_arithmetic_overflow_rejected(self):
         """A derived batch is checked too: 1e308 + 1e308 is inf."""

@@ -2,8 +2,10 @@
 
 Round-trip identity with and without scrambling, running disparity
 confined to {-1, +1}, the max-run-length guarantee, bit-slip
-recovery from every slip offset, and scalar/batch bit-identity of
-the framed encode.
+recovery from every slip offset, scalar/batch bit-identity of the
+framed encode, and the array lock scan of ``LinkCodec.decode_frame``
+against the per-symbol state-machine loop of
+``tests/_coding_reference.py`` on damaged streams.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from repro.coding import (
     BitSlipAligner, LinkCodec, Scrambler,
     bits_to_symbols, decode_stream, encode_stream,
 )
+from tests import _coding_reference
 
 payloads = st.lists(st.integers(0, 255), min_size=1, max_size=120)
 disparities = st.sampled_from([-1, +1])
@@ -128,6 +131,22 @@ class TestBitSlipRecovery:
         assert frame.stats.locked
         np.testing.assert_array_equal(frame.payload, payload)
 
+    def test_false_comma_in_prefix_rehunts(self):
+        """Leading garbage that completes a comma with the first line
+        bit pins a wrong boundary; the code violations that follow,
+        before lock, send the receiver back to the comma hunt, and it
+        locks on the true preamble."""
+        codec = LinkCodec(comma_period=16)
+        payload = np.arange(256).astype(np.uint8)
+        line = codec.encode_frame(payload)
+        prefix = np.array([0, 0, 1, 1, 1, 1, 1, 0, 1], dtype=np.uint8)
+        bits = np.concatenate([prefix, line])
+        assert BitSlipAligner().find(bits).position == 0
+        frame = codec.decode_frame(bits, n_bytes=len(payload))
+        assert frame.stats.locked
+        assert frame.stats.lock_time_symbols < 2 * (codec.comma_period + 1)
+        np.testing.assert_array_equal(frame.payload, payload)
+
 
 class TestScalarBatchIdentity:
     @given(seed=st.integers(0, 2**16),
@@ -158,3 +177,81 @@ class TestScalarBatchIdentity:
         for frame, payload in zip(frames, payloads):
             assert frame.clean
             np.testing.assert_array_equal(frame.payload, payload)
+
+
+@st.composite
+def lock_codecs(draw):
+    """A codec over the whole lock/loss parameter space."""
+    lock_commas = draw(st.integers(1, 4))
+    loss_violations = draw(st.integers(1, 6))
+    return LinkCodec(
+        scramble=draw(st.booleans()),
+        n_preamble=lock_commas + draw(st.integers(0, 3)),
+        comma_period=draw(st.integers(0, 20)),
+        lock_commas=lock_commas,
+        loss_window=loss_violations + draw(st.integers(0, 20)),
+        loss_violations=loss_violations,
+    )
+
+
+class TestLockScanMatchesStateMachine:
+    """``decode_frame`` tracks lock with one array scan per aligned
+    segment; stepping ``LinkLockStateMachine`` symbol by symbol must
+    give the same stats and payload on every stream, however
+    damaged."""
+
+    @staticmethod
+    def _check(codec, bits, n_bytes):
+        got = codec.decode_frame(bits, n_bytes=n_bytes)
+        want = _coding_reference.decode_frame(codec, bits,
+                                              n_bytes=n_bytes)
+        assert got.stats == want.stats
+        assert got.payload.dtype == want.payload.dtype
+        np.testing.assert_array_equal(got.payload, want.payload)
+        return want
+
+    @given(codec=lock_codecs(), seed=st.integers(0, 2**32 - 1),
+           n_bytes=st.integers(1, 100),
+           flips=st.integers(0, 6), burst=st.integers(0, 80),
+           deletions=st.integers(0, 3), prefix=st.integers(0, 40),
+           second=st.booleans(), truncate=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_stream(self, codec, seed, n_bytes, flips, burst,
+                            deletions, prefix, second, truncate):
+        rng = np.random.default_rng(seed)
+        bits = codec.encode_frame(
+            rng.integers(0, 256, n_bytes).astype(np.uint8))
+        bits[rng.integers(0, len(bits), flips)] ^= 1
+        at = int(rng.integers(0, len(bits)))
+        bits[at:at + burst] ^= 1  # a violation burst: loses lock
+        for _ in range(deletions):  # a slipped boundary
+            bits = np.delete(bits, rng.integers(0, len(bits)))
+        bits = np.concatenate([rng.integers(0, 2, prefix), bits])
+        if second:
+            tail = codec.encode_frame(rng.integers(
+                0, 256, int(rng.integers(1, 60))).astype(np.uint8))
+            bits = np.concatenate([
+                bits, rng.integers(0, 2, int(rng.integers(0, 40))),
+                tail])
+        if truncate:
+            bits = bits[:int(rng.integers(0, 3 * SYMBOL_BITS))]
+        self._check(codec, bits.astype(np.uint8),
+                    n_bytes if seed % 2 else None)
+
+    @given(codec=lock_codecs(),
+           bits=st.lists(st.integers(0, 1), max_size=3 * SYMBOL_BITS))
+    @settings(max_examples=60, deadline=None)
+    def test_empty_and_short_input(self, codec, bits):
+        self._check(codec, np.array(bits, dtype=np.uint8), None)
+
+    def test_damage_reaches_loss_and_relock(self):
+        """The damaged-stream regime is not vacuous: a slip mid-frame
+        loses lock and the trailing commas relock."""
+        codec = LinkCodec(comma_period=8)
+        payload = np.arange(200, dtype=np.uint8)
+        bits = codec.encode_frame(payload)
+        bits = np.delete(bits, [700, 701, 702])
+        frame = self._check(codec, bits, None)
+        assert frame.stats.lock_losses >= 1
+        assert frame.stats.lock_acquisitions >= 2
+        assert frame.stats.locked

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.channel.crosstalk import (
     CouplingSpec,
     CrosstalkMatrix,
@@ -15,7 +15,7 @@ from repro.eye.metrics import measure_eye
 from repro.instruments.jtol import JitterToleranceTester
 from repro.signal.nrz import bits_to_waveform
 from repro.signal.prbs import prbs_bits
-from repro.signal.waveform import Waveform
+from repro.signal.waveform import Waveform, WaveformBatch
 
 
 def _channel(seed=0, n=600, rate=2.5):
@@ -52,6 +52,31 @@ class TestCoupledNoise:
             CouplingSpec(coupling=0.9)
         with pytest.raises(ConfigurationError):
             CouplingSpec(rise_scale_ps=0.0)
+
+
+class TestShortRecords:
+    """Crosstalk couples dV/dt: a record of fewer than 2 samples has
+    no slew, and both matrix paths say so with a typed error instead
+    of NumPy's numerical-gradient ``ValueError``."""
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_dict_path(self, n):
+        matrix = CrosstalkMatrix(["a", "b"])
+        waves = {name: Waveform(np.zeros(n)) for name in ("a", "b")}
+        with pytest.raises(ReproError, match=">= 2 samples"):
+            matrix.apply(waves)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_batch_path(self, n):
+        matrix = CrosstalkMatrix(["a", "b", "c"])
+        with pytest.raises(ReproError, match=">= 2 samples"):
+            matrix.apply_batch(WaveformBatch(np.zeros((3, n))))
+
+    def test_two_samples_still_couple(self):
+        matrix = CrosstalkMatrix(["a", "b"])
+        out = matrix.apply_batch(
+            WaveformBatch(np.array([[0.0, 0.4], [0.0, 0.0]])))
+        assert out.values[1].any()
 
 
 class TestCrosstalkOnEyes:

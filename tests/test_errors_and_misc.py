@@ -31,6 +31,18 @@ class TestPackageVersion:
         assert repro.__version__.count(".") == 2
 
 
+class TestDecodeInputGuard:
+    """``LinkCodec.decode_frame`` takes one 1-D bit stream; a block
+    goes through ``decode_frame_batch``."""
+
+    @pytest.mark.parametrize("shape", [(2, 40), (1, 40), ()])
+    def test_non_1d_rejected(self, shape):
+        from repro.coding import LinkCodec
+
+        with pytest.raises(errors.ConfigurationError, match="1-D"):
+            LinkCodec().decode_frame(np.zeros(shape, dtype=np.uint8))
+
+
 class TestMiscSurfaces:
     def test_fanout_reproducible_per_seed(self):
         from repro.pecl.fanout import ClockFanout

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.errors import ConfigurationError, MeasurementError
 from repro.eye import EyeAccumulator, EyeDiagram, measure_eye
 from repro.eye._binning import density_grid, fold_phases
@@ -189,6 +190,24 @@ class TestAccumulatorContracts:
         acc.update(Waveform(np.full(100, -0.5), dt=1.0, t0=0.0))
         acc.update(Waveform(np.full(100, 0.5), dt=1.0, t0=100.0))
         assert acc.n_crossings == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_scalar_chunk_gets_typed_error(self, bad):
+        """A NaN/inf sample in a scalar stream is a typed error, not
+        NumPy's bincount ``ValueError`` from inside the fold, and the
+        stream keeps what it had folded."""
+        acc = EyeAccumulator(2.5, v_range=(-0.5, 0.5), threshold=0.0)
+        acc.update(Waveform(np.zeros(10), dt=1.0, t0=0.0))
+        values = np.zeros(10)
+        values[4] = bad
+        with telemetry.use_registry() as reg:
+            with pytest.raises(MeasurementError, match="finite"):
+                acc.update(Waveform(values, dt=1.0, t0=10.0))
+        assert reg.to_dict()["counters"][
+            "signal.nonfinite_rejected"] == 1
+        assert acc.n_samples == 10
+        acc.update(Waveform(np.zeros(10), dt=1.0, t0=10.0))
+        assert acc.n_samples == 20
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -102,6 +102,24 @@ class TestMiniTesterTelemetry:
             "minitester.run_loopback"]["count"] == 1
 
 
+class TestCodingTelemetry:
+    def test_encode_and_decode_spans(self):
+        from repro.coding import LinkCodec
+
+        reg = telemetry.Registry()
+        codec = LinkCodec(scramble=True, registry=reg)
+        payloads = np.arange(96, dtype=np.uint8).reshape(3, 32)
+        frames = codec.decode_frame_batch(
+            codec.encode_frame_batch(payloads), n_bytes=32)
+        assert all(frame.clean for frame in frames)
+        snap = reg.to_dict()
+        assert snap["timers"]["coding.encode_frame_batch"]["count"] == 1
+        assert snap["timers"]["coding.decode_frame"]["count"] == 3
+        assert snap["counters"]["coding.decode_frame.calls"] == 3
+        assert snap["counters"]["coding.symbols_decoded"] == \
+            sum(frame.stats.symbols for frame in frames)
+
+
 class TestInjectionBackpressureRegression:
     """Pins the `_inject` accounting fix: blocks count packet-cycles
     spent waiting, not occupied nodes scanned."""

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro import telemetry
+from repro.errors import ConfigurationError, MeasurementError, ReproError
 from repro.signal.waveform import Waveform
 
 
@@ -30,6 +31,26 @@ class TestConstruction:
     def test_rejects_2d(self):
         with pytest.raises(ConfigurationError):
             Waveform([[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with telemetry.use_registry() as reg:
+            with pytest.raises(MeasurementError, match="finite"):
+                Waveform([0.0, bad, 1.0])
+        assert reg.to_dict()["counters"][
+            "signal.nonfinite_rejected"] == 1
+
+    def test_finite_not_counted(self):
+        with telemetry.use_registry() as reg:
+            Waveform([0.0, 1.0])
+        assert reg.to_dict()["counters"].get(
+            "signal.nonfinite_rejected", 0) == 0
+
+    def test_arithmetic_overflow_rejected(self):
+        """A derived record is checked too: 1e308 + 1e308 is inf."""
+        big = Waveform(np.full(4, 1e308))
+        with np.errstate(over="ignore"), pytest.raises(ReproError):
+            big + big
 
     def test_values_read_only(self):
         wf = Waveform([1.0, 2.0])

@@ -388,7 +388,10 @@ loss-of-lock on code-violation bursts). `LinkCodec` composes them
 into a framing stack that `PECLTransmitter`, `PECLReceiver`,
 `OpticalTestBed`, and `MiniTester` all accept through their
 `encoding=` argument (`"8b10b"`, `"8b10b-scrambled"`, or a
-configured `LinkCodec`):
+configured `LinkCodec`). Encoding is vectorized over `(channels,
+n_bytes)` payloads; decoding is vectorized per aligned segment, lock
+tracking included, with the same results as stepping the state
+machine one symbol at a time:
 
 ```python
 from repro.core.minitester import MiniTester
@@ -404,7 +407,8 @@ Per-frame health lands in `LinkStats` (code violations, disparity
 errors, lock acquisitions/losses, slipped and discarded bits) and —
 when telemetry is enabled — in dotted counters
 (`coding.code_violations`, `coding.lock_losses`,
-`coding.payload_errors`, ...). `CodedStreamChecker` grades a raw
+`coding.payload_errors`, ...) and the `coding.encode_frame_batch`
+and `coding.decode_frame` spans. `CodedStreamChecker` grades a raw
 line-bit capture end to end: align, decode, descramble, then PRBS-
 check the payload with the self-synchronizing fabric checker, whose
 density-based resync reports stream slips as single `slips` events.
@@ -415,7 +419,8 @@ code tables is pinned by `tests/test_coding_conformance.py` (all
 512 (code, disparity) pairs plus every K character against an
 independent golden table) and `tests/test_coding_properties.py`
 (hypothesis round-trip, disparity, run-length, and bit-slip
-recovery properties).
+recovery properties, plus the decode lock scan against the
+per-symbol loop of `tests/_coding_reference.py` on damaged streams).
 """
 
 
